@@ -1,5 +1,5 @@
 """Benchmark + report for Table 3 — the overall five-algorithm comparison
-on the full synthetic suite (k=4, s,t in V', TL=15 s)."""
+on the full synthetic suite (k=5, s,t in V', TL=30 s)."""
 from __future__ import annotations
 
 from pathlib import Path

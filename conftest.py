@@ -57,17 +57,18 @@ def spark() -> SparkSession:
 
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
     pre-JVM-launch). Per-session configs that *are* honoured post-launch
-    (shuffle partitions, Arrow, broadcast threshold) are set here.
-    Broadcast joins are disabled so papers about shuffle/join algorithms
-    actually exercise the shuffle path at SF~=0.1; a reproduction that
-    wants a broadcast join sets the threshold back for that query.
+    are set here. The graphs under test are small (tens to thousands of
+    vertices), so 8 shuffle partitions, not coalesced for parallelism,
+    keep scheduler latency down. Broadcast joins are disabled so the
+    enumerators' joins exercise the shuffle path they take at scale.
     """
     s = (
         SparkSession.builder.appName("repro")
         .config(
             "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
+            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "8"),
         )
+        .config("spark.sql.adaptive.coalescePartitions.parallelismFirst", "false")
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()

@@ -1,6 +1,6 @@
 """Run and print Table 3 (overall comparison of the five algorithms).
 
-    spark-submit jobs/table3_overall.py [--k 4] [--queries 3]
+    spark-submit jobs/table3_overall.py [--k K] [--queries N] [--timeout S]
 """
 from __future__ import annotations
 
@@ -9,6 +9,9 @@ import argparse
 from _common import get_spark
 
 from repro.exp.experiments import (
+    K_DEFAULT,
+    N_QUERIES,
+    TIMEOUT_S,
     OverallConfig,
     overall_experiment,
     save_stats,
@@ -18,9 +21,9 @@ from repro.exp.experiments import (
 
 def main() -> None:
     ap = argparse.ArgumentParser()
-    ap.add_argument("--k", type=int, default=4)
-    ap.add_argument("--queries", type=int, default=3)
-    ap.add_argument("--timeout", type=float, default=25.0)
+    ap.add_argument("--k", type=int, default=K_DEFAULT)
+    ap.add_argument("--queries", type=int, default=N_QUERIES)
+    ap.add_argument("--timeout", type=float, default=TIMEOUT_S)
     args = ap.parse_args()
     spark = get_spark("table3")
     stats = overall_experiment(

@@ -27,7 +27,6 @@ def bc_dfs(
     ctx: QueryContext,
     *,
     timeout_s: float | None = None,
-    row_cap: int | None = None,
     response_bar: int | None = None,
     constraints: Constraints = NO_CONSTRAINTS,
 ) -> EnumResult:
@@ -39,7 +38,6 @@ def bc_dfs(
         pre=False,
         method="BC-DFS",
         timeout_s=timeout_s,
-        row_cap=row_cap,
         response_bar=response_bar,
         constraints=constraints,
     )
@@ -49,7 +47,6 @@ def bc_join(
     ctx: QueryContext,
     *,
     timeout_s: float | None = None,
-    row_cap: int | None = None,
     constraints: Constraints = NO_CONSTRAINTS,
 ) -> EnumResult:
     """Mid-point join over the barrier-pruned graph (fixed cut ceil(k/2))."""
@@ -62,6 +59,5 @@ def bc_join(
         pre=False,
         method="BC-JOIN",
         timeout_s=timeout_s,
-        row_cap=row_cap,
         constraints=constraints,
     )

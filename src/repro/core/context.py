@@ -79,7 +79,15 @@ def build_context(
     t: int,
     k: int,
 ) -> QueryContext:
-    """Run the BFS phase and materialise both pruned edge sets."""
+    """Run the BFS phase and materialise both pruned edge sets.
+
+    Raises ``ValueError`` for a query outside Definition 2.1 (``s == t`` or
+    ``k < 1``) before any Spark job runs.
+    """
+    if s == t:
+        raise ValueError(f"s and t must differ, got s = t = {s}")
+    if k < 1:
+        raise ValueError(f"hop bound k must be at least 1, got {k}")
     t0 = time.perf_counter()
     dist = distance_table(spark, edges, s, t, k).persist()
     dist.count()

@@ -19,11 +19,12 @@ import time
 from dataclasses import dataclass, field
 
 import pyspark.sql.functions as F
+from py4j.protocol import Py4JJavaError
 from pyspark.sql import DataFrame
 
-from repro.core.constraints import NO_CONSTRAINTS, Constraints
+from repro.core.constraints import NO_CONSTRAINTS, AccumulativeConstraint, Constraints
 from repro.core.context import QueryContext
-from repro.core.expand import CELL_BYTES, ExpandStats, empty_results, expand, make_frontier
+from repro.core.expand import CELL_BYTES, Deadline, expand, make_frontier
 
 
 @dataclass
@@ -54,7 +55,6 @@ def idx_dfs(
     ctx: QueryContext,
     *,
     timeout_s: float | None = None,
-    row_cap: int | None = None,
     response_bar: int | None = None,
     constraints: Constraints = NO_CONSTRAINTS,
 ) -> EnumResult:
@@ -66,7 +66,6 @@ def idx_dfs(
         pre=True,
         method="IDX-DFS",
         timeout_s=timeout_s,
-        row_cap=row_cap,
         response_bar=response_bar,
         constraints=constraints,
     )
@@ -80,27 +79,26 @@ def _dfs(
     pre: bool,
     method: str,
     timeout_s: float | None,
-    row_cap: int | None,
     response_bar: int | None,
     constraints: Constraints = NO_CONSTRAINTS,
 ) -> EnumResult:
     t0 = time.perf_counter()
     frontier = make_frontier(ctx.spark, [ctx.s], constraints)
-    results, _, stats = expand(
-        ctx.spark,
-        frontier,
-        edges,
-        t=ctx.t,
-        k=ctx.k,
-        start_pos=0,
-        end_pos=ctx.k,
-        budget_col=budget_col,
-        pre=pre,
-        timeout_s=timeout_s,
-        row_cap=row_cap,
-        response_bar=response_bar,
-        constraints=constraints,
-    )
+    with Deadline(ctx.spark, timeout_s) as deadline:
+        results, _, stats = expand(
+            ctx.spark,
+            frontier,
+            edges,
+            t=ctx.t,
+            k=ctx.k,
+            start_pos=0,
+            end_pos=ctx.k,
+            budget_col=budget_col,
+            pre=pre,
+            deadline=deadline,
+            response_bar=response_bar,
+            constraints=constraints,
+        )
     n = stats.total_emitted
     return EnumResult(
         method=method,
@@ -120,7 +118,6 @@ def idx_join(
     cut: int,
     *,
     timeout_s: float | None = None,
-    row_cap: int | None = None,
     constraints: Constraints = NO_CONSTRAINTS,
 ) -> EnumResult:
     """Algorithm 6: evaluate Q[0:cut] and Q[cut:k] then hash-join."""
@@ -132,7 +129,6 @@ def idx_join(
         pre=True,
         method="IDX-JOIN",
         timeout_s=timeout_s,
-        row_cap=row_cap,
         constraints=constraints,
     )
 
@@ -146,7 +142,6 @@ def _join_enum(
     pre: bool,
     method: str,
     timeout_s: float | None,
-    row_cap: int | None,
     constraints: Constraints = NO_CONSTRAINTS,
 ) -> EnumResult:
     if constraints.automaton is not None:
@@ -161,46 +156,88 @@ def _join_enum(
         cut = 0
     cut = max(0, min(cut, k - 1))
     acc_c = constraints.accumulative
+    detail: dict = {"cut": cut}
 
-    # Phase 1: prefix Q[0:cut] — paths of length <= cut surface as results.
-    frontier = make_frontier(spark, [s], constraints)
-    early, ra, st_a = expand(
-        spark,
-        frontier,
-        edges,
-        t=t,
-        k=k,
-        start_pos=0,
-        end_pos=cut,
-        budget_col=budget_col,
-        pre=pre,
-        timeout_s=timeout_s,
-        row_cap=row_cap,
-        constraints=constraints,
-    )
-    ra = ra.localCheckpoint(eager=True)
-    n_ra = ra.count()
-    n_early = st_a.total_emitted
-    if st_a.timed_out or n_ra == 0:
-        enum_s = time.perf_counter() - t0
-        return EnumResult(
-            method=method,
-            paths=early,
-            n_results=n_early,
-            enum_s=enum_s,
-            timed_out=st_a.timed_out,
-            response_s=None if st_a.timed_out else enum_s,
-            edges_accessed=st_a.total_accessed,
-            partial_cells=st_a.max_frontier_cells,
-            detail={"cut": cut, "stats_a": st_a, "n_ra": n_ra},
+    with Deadline(spark, timeout_s) as deadline:
+        # Phase 1: prefix Q[0:cut] — paths of length <= cut surface as results.
+        frontier = make_frontier(spark, [s], constraints)
+        early, ra, st_a = expand(
+            spark,
+            frontier,
+            edges,
+            t=t,
+            k=k,
+            start_pos=0,
+            end_pos=cut,
+            budget_col=budget_col,
+            pre=pre,
+            deadline=deadline,
+            constraints=constraints,
         )
+        detail["stats_a"] = st_a
+        paths, n_results = early, st_a.total_emitted
+        try:
+            if st_a.timed_out:
+                raise TimeoutError
+            ra = ra.localCheckpoint(eager=True)
+            detail["n_ra"] = ra.count()
+            if detail["n_ra"]:
+                joined = _suffix_join(
+                    ctx, edges, ra, cut, detail,
+                    budget_col=budget_col, pre=pre, deadline=deadline, acc_c=acc_c,
+                )
+                if detail["n_joined"]:
+                    paths = early.unionByName(joined) if n_results else joined
+                    n_results += detail["n_joined"]
+            timed_out = False
+        except TimeoutError:
+            timed_out = True
+        except Py4JJavaError as err:
+            if not deadline.cancelled(err):
+                raise
+            timed_out = True
+
+    stats = [detail[key] for key in ("stats_a", "stats_b") if key in detail]
+    enum_s = time.perf_counter() - t0
+    return EnumResult(
+        method=method,
+        paths=paths,
+        n_results=n_results,
+        enum_s=enum_s,
+        timed_out=timed_out,
+        # join methods have no early results: first-X time = total time.
+        response_s=None if timed_out else enum_s,
+        edges_accessed=sum(st.total_accessed for st in stats),
+        partial_cells=(
+            detail.get("n_ra", 0) * (cut + 1)
+            + detail.get("n_rb", 0) * (k - cut + 1)
+            + max(st.max_frontier_cells for st in stats)
+        ),
+        detail=detail,
+    )
+
+
+def _suffix_join(
+    ctx: QueryContext,
+    edges: DataFrame,
+    ra: DataFrame,
+    cut: int,
+    detail: dict,
+    *,
+    budget_col: str,
+    pre: bool,
+    deadline: Deadline,
+    acc_c: AccumulativeConstraint | None,
+) -> DataFrame:
+    """Phases 2–3 of Algorithm 6 on the prefix results ``ra``; counters go
+    into ``detail``.  Raises ``TimeoutError`` when ``deadline`` stops it."""
+    spark, s, t, k = ctx.spark, ctx.s, ctx.t, ctx.k
 
     # Phase 2: suffix Q[cut:k] from each distinct cut vertex (Alg 6 line 3-5).
     cut_vs = ra.select(F.col("last")).distinct()
     sfx_frontier = cut_vs.select(F.array(F.col("last")).alias("path"), F.col("last"))
     if acc_c:
         sfx_frontier = sfx_frontier.withColumn("acc", F.lit(0.0))
-    remaining = None if timeout_s is None else max(0.1, timeout_s - (time.perf_counter() - t0))
     sfx, _, st_b = expand(
         spark,
         sfx_frontier,
@@ -212,8 +249,7 @@ def _join_enum(
         budget_col=budget_col,
         pre=pre,
         forbid=s,
-        timeout_s=remaining,
-        row_cap=row_cap,
+        deadline=deadline,
         # suffix-local accumulative state: emit-filter only after the join,
         # on the combined value — so no emit/prune predicates here.
         constraints=Constraints(accumulative=None) if acc_c is None else Constraints(
@@ -222,32 +258,16 @@ def _join_enum(
             )
         ),
     )
+    detail["stats_b"] = st_b
+    if st_b.timed_out:
+        raise TimeoutError
     sfx = sfx.localCheckpoint(eager=True)
-    n_rb = sfx.count()
-
-    # Guard: the final join is a single uninterruptible Spark job, so we
-    # refuse to launch it when the time budget is spent or the crude
-    # per-key product estimate exceeds the cap — the dataflow analogue of
-    # the paper's 120 s termination (and its BC-JOIN OOM at ep/k=8).
-    n_keys = max(1, ra.select("last").distinct().count())
-    est_out = n_ra * n_rb / n_keys
-    out_of_time = timeout_s is not None and time.perf_counter() - t0 > timeout_s
-    if st_b.timed_out or out_of_time or (row_cap is not None and est_out > 20 * row_cap):
-        enum_s = time.perf_counter() - t0
-        return EnumResult(
-            method=method,
-            paths=early,
-            n_results=n_early,
-            enum_s=enum_s,
-            timed_out=True,
-            response_s=None,
-            edges_accessed=st_a.total_accessed + st_b.total_accessed,
-            partial_cells=n_ra * (cut + 1) + n_rb * (k - cut + 1),
-            detail={"cut": cut, "n_ra": n_ra, "n_rb": n_rb, "join_skipped": True,
-                    "stats_a": st_a, "stats_b": st_b},
-        )
+    detail["n_rb"] = sfx.count()
 
     # Phase 3: hash join on the cut vertex + simple-path filter (Alg 6 l.6-8).
+    # It is one Spark job, so it is launched only while there is time left.
+    if deadline.expired:
+        raise TimeoutError
     pre_cols = [ra["path"].alias("a_path"), ra["last"].alias("a_last")]
     if acc_c:
         pre_cols.append(ra["acc"].alias("a_acc"))
@@ -271,34 +291,5 @@ def _join_enum(
     if acc_c:
         joined = joined.where(acc_c.emit_pred)
     joined = joined.localCheckpoint(eager=True)
-    n_joined = joined.count()
-
-    paths = early.unionByName(joined) if n_early else joined
-    if n_early and not n_joined:
-        paths = early
-    enum_s = time.perf_counter() - t0
-    timed_out = st_a.timed_out or st_b.timed_out
-    partial_cells = (
-        n_ra * (cut + 1)
-        + n_rb * (k - cut + 1)
-        + max(st_a.max_frontier_cells, st_b.max_frontier_cells)
-    )
-    return EnumResult(
-        method=method,
-        paths=paths,
-        n_results=n_early + n_joined,
-        enum_s=enum_s,
-        timed_out=timed_out,
-        # join methods have no early results: first-X time = total time.
-        response_s=None if timed_out else enum_s,
-        edges_accessed=st_a.total_accessed + st_b.total_accessed,
-        partial_cells=partial_cells,
-        detail={
-            "cut": cut,
-            "n_ra": n_ra,
-            "n_rb": n_rb,
-            "n_joined": n_joined,
-            "stats_a": st_a,
-            "stats_b": st_b,
-        },
-    )
+    detail["n_joined"] = joined.count()
+    return joined

@@ -18,6 +18,9 @@ recursion level of Algorithm 1/4:
 
 Rows reaching ``t`` are emitted and never extended (Definition 2.1 bans
 interior s/t); the simple-path check is ``NOT array_contains(path,dst)``.
+A :class:`Deadline` stops the loop: it is checked before each level, and a
+level whose job it cancels is dropped, so the results are those of the
+levels that finished.
 Each level materialises exactly one eagerly localCheckpoint-ed candidate
 frame classified by a ``_cls`` column (emit / continue / pruned), so per
 level there is one Spark job plus one tiny count — this keeps scheduler
@@ -26,10 +29,13 @@ timeout, response-time and Figure-6/Table-7 metrics need.
 """
 from __future__ import annotations
 
+import itertools
+import threading
 import time
 from dataclasses import dataclass, field
 
 import pyspark.sql.functions as F
+from py4j.protocol import Py4JJavaError
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.constraints import NO_CONSTRAINTS, Constraints
@@ -38,6 +44,72 @@ from repro.core.constraints import NO_CONSTRAINTS, Constraints
 CELL_BYTES = 8
 
 _PRUNED, _EMIT, _CONTINUE = 0, 1, 2
+
+#: how often an expired deadline repeats its cancel until the call returns.
+_RECANCEL_S = 0.1
+
+
+class Deadline:
+    """The time limit of one public call, enforced by cancelling Spark jobs.
+
+    Inside ``with Deadline(spark, timeout_s)`` every job the calling thread
+    submits carries the deadline's job tag; job tags are additive, so a
+    caller's own tags and job group are left alone.  Once the limit passes, a
+    background thread cancels the tagged jobs, interrupting their tasks, and
+    repeats the cancel until the block exits: a cancel issued while no tagged
+    job runs is lost, and the caller may be about to submit one.  Callers
+    check :attr:`expired` before launching a job and turn a job cancelled by
+    the deadline (:meth:`cancelled`) into a flagged partial answer.
+    ``timeout_s=None`` means no limit: no tag and no thread.
+    """
+
+    _ids = itertools.count()
+
+    def __init__(self, spark: SparkSession | None, timeout_s: float | None):
+        self._sc = None if spark is None else spark.sparkContext
+        self._end = None if timeout_s is None else time.perf_counter() + timeout_s
+        self._tag = f"repro-deadline-{next(self._ids)}"
+        self._closed = threading.Event()
+
+    @property
+    def expired(self) -> bool:
+        return self._end is not None and time.perf_counter() >= self._end
+
+    @property
+    def remaining(self) -> float | None:
+        """Seconds left (negative once expired); ``None`` without a limit."""
+        return None if self._end is None else self._end - time.perf_counter()
+
+    def cancelled(self, err: Exception) -> bool:
+        """Whether ``err`` is a Spark job cancelled because the limit passed."""
+        return self.expired and "SPARK_JOB_CANCELLED" in str(err)
+
+    def __enter__(self) -> Deadline:
+        if self._end is not None:
+            self._interrupt = self._sc.getLocalProperty("spark.job.interruptOnCancel")
+            self._sc.addJobTag(self._tag)
+            self._sc.setInterruptOnCancel(True)
+            self._canceller = threading.Thread(target=self._cancel_when_due, daemon=True)
+            self._canceller.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._end is not None:
+            self._closed.set()
+            self._canceller.join()
+            self._sc.removeJobTag(self._tag)
+            self._sc.setLocalProperty("spark.job.interruptOnCancel", self._interrupt)
+
+    def _cancel_when_due(self) -> None:
+        if self._closed.wait(self._end - time.perf_counter()):
+            return
+        while True:
+            self._sc.cancelJobsWithTag(self._tag)
+            if self._closed.wait(_RECANCEL_S):
+                return
+
+
+NO_DEADLINE = Deadline(None, None)
 
 
 @dataclass
@@ -55,7 +127,6 @@ class DepthStat:
 class ExpandStats:
     depth_stats: list[DepthStat] = field(default_factory=list)
     timed_out: bool = False
-    row_capped: bool = False
     response_s: float | None = None   # time to first ``response_bar`` results
     elapsed_s: float = 0.0
 
@@ -104,10 +175,8 @@ def expand(
     end_pos: int,
     budget_col: str | None,
     pre: bool = True,
-    dedupe: bool = True,
     forbid: int | None = None,
-    timeout_s: float | None = None,
-    row_cap: int | None = None,
+    deadline: Deadline = NO_DEADLINE,
     response_bar: int | None = None,
     constraints: Constraints = NO_CONSTRAINTS,
 ) -> tuple[DataFrame, DataFrame, ExpandStats]:
@@ -116,8 +185,9 @@ def expand(
     Returns ``(results, final_frontier, stats)``: ``results`` are paths
     that reached ``t`` (with constraint columns if any), ``final_frontier``
     the un-emitted partial results at ``end_pos`` (the join methods' R_a).
-    ``timeout_s``/``row_cap`` convert runaway queries into a flagged
-    partial answer, mirroring the paper's 120 s limit semantics.
+    When ``deadline`` passes, ``stats.timed_out`` is set and the results of
+    the finished levels are returned, as the paper reports the results
+    found by its 120 s limit.
     """
     t_lit = F.lit(int(t))
     stats = ExpandStats()
@@ -131,31 +201,9 @@ def expand(
     extra_cols = constraints.frontier_cols
 
     for pos in range(start_pos + 1, end_pos + 1):
-        elapsed = time.perf_counter() - t_start
-        if timeout_s is not None and elapsed > timeout_s:
+        if deadline.expired:
             stats.timed_out = True
             break
-        # Predictive termination: one depth is a single uninterruptible
-        # Spark job, so a query that would blow the limit inside the next
-        # join must be stopped *before* launching it — the dataflow
-        # analogue of the paper's kill at the 120 s mark (results found so
-        # far are reported).  Next-depth candidates ~ last candidates x
-        # frontier growth; the per-row rate is taken from measurement only
-        # when the last depth was large enough for row work to dominate
-        # the ~0.5 s fixed job cost (otherwise an optimistic floor is
-        # used, so small fast levels are never extrapolated into a kill).
-        if timeout_s is not None and len(stats.depth_stats) >= 2:
-            last, prev = stats.depth_stats[-1], stats.depth_stats[-2]
-            growth = last.frontier / max(1, prev.frontier)
-            predicted_rows = last.accessed * max(1.0, growth)
-            rate = (
-                last.elapsed_s / last.accessed
-                if last.accessed > 1_000_000
-                else 2e-7  # ~5M rows/s optimistic floor
-            )
-            if elapsed + 0.5 + predicted_rows * rate > timeout_s * 1.2:
-                stats.timed_out = True
-                break
         t_depth = time.perf_counter()
         budget = k - pos
 
@@ -176,9 +224,7 @@ def expand(
             (
                 (F.col(budget_col) <= budget) if (not pre and budget_col is not None) else F.lit(True)
             ).alias("_valid"),
-            (
-                ~F.array_contains(cand["path"], e["dst"]) if dedupe else F.lit(True)
-            ).alias("_fresh"),
+            (~F.array_contains(cand["path"], e["dst"])).alias("_fresh"),
             (
                 (e["dst"] != F.lit(int(forbid))) if forbid is not None else F.lit(True)
             ).alias("_allowed"),
@@ -204,18 +250,20 @@ def expand(
         )
         if acc_c and acc_c.prune_pred:
             cont_ok = cont_ok & F.expr(acc_c.prune_pred)
-        cand = (
-            cand.withColumn(
-                "_cls",
-                F.when(emit_ok, F.lit(_EMIT))
-                .when(cont_ok, F.lit(_CONTINUE))
-                .otherwise(F.lit(_PRUNED)),
-            )
-            .drop("_is_t", "_valid", "_fresh", "_allowed")
-            .localCheckpoint(eager=True)
-        )
-
-        cnts = {r["_cls"]: r["count"] for r in cand.groupBy("_cls").count().collect()}
+        cand = cand.withColumn(
+            "_cls",
+            F.when(emit_ok, F.lit(_EMIT))
+            .when(cont_ok, F.lit(_CONTINUE))
+            .otherwise(F.lit(_PRUNED)),
+        ).drop("_is_t", "_valid", "_fresh", "_allowed")
+        try:
+            cand = cand.localCheckpoint(eager=True)
+            cnts = {r["_cls"]: r["count"] for r in cand.groupBy("_cls").count().collect()}
+        except Py4JJavaError as err:
+            if not deadline.cancelled(err):
+                raise
+            stats.timed_out = True
+            break
         accessed = sum(cnts.values())
         n_emit = cnts.get(_EMIT, 0)
         n_frontier = cnts.get(_CONTINUE, 0)
@@ -236,10 +284,6 @@ def expand(
         stats.depth_stats.append(
             DepthStat(pos, accessed, n_emit, n_frontier, time.perf_counter() - t_depth)
         )
-        if row_cap is not None and n_frontier > row_cap:
-            stats.row_capped = True
-            stats.timed_out = True
-            break
         if n_frontier == 0:
             break
 

@@ -14,12 +14,16 @@ substrate lands at 1e5 the same way).
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
+
+from py4j.protocol import Py4JJavaError
 
 from repro.core.constraints import NO_CONSTRAINTS, Constraints
 from repro.core.context import QueryContext
 from repro.core.enumerate import EnumResult, idx_dfs, idx_join
+from repro.core.expand import Deadline
 from repro.core.estimator import FullEstimate, full_estimate, preliminary_estimate
 
 DEFAULT_TAU = 1e6
@@ -29,7 +33,7 @@ DEFAULT_TAU = 1e6
 class Decision:
     """What the optimizer saw and chose for one query."""
 
-    t_hat: float
+    t_hat: float                      # NaN if the time limit cancelled it
     used_full: bool
     method: str                       # "IDX-DFS" | "IDX-JOIN"
     cut: int | None
@@ -42,60 +46,46 @@ def path_enum(
     *,
     tau: float = DEFAULT_TAU,
     timeout_s: float | None = None,
-    row_cap: int | None = None,
     response_bar: int | None = None,
     constraints: Constraints = NO_CONSTRAINTS,
 ) -> tuple[EnumResult, Decision]:
-    """Full PathEnum: estimate, choose a plan, enumerate."""
+    """Full PathEnum: estimate, choose a plan, enumerate.
+
+    ``timeout_s`` covers the estimators too.  If it cancels them, the query
+    falls back to IDX-DFS, which finds the limit already passed and
+    returns a flagged empty answer.
+    """
     t0 = time.perf_counter()
-    t_hat = preliminary_estimate(ctx)
-    # Automaton constraints are DFS-only (Appendix E): the DFS kills
-    # invalid label sequences early, the join cannot.
-    if t_hat <= tau or constraints.automaton is not None:
+    with Deadline(ctx.spark, timeout_s) as deadline:
+        t_hat, est = math.nan, None
+        try:
+            t_hat = preliminary_estimate(ctx)
+            # Automaton constraints are DFS-only (Appendix E): the DFS kills
+            # invalid label sequences early, the join cannot.
+            if t_hat > tau and constraints.automaton is None:
+                est = full_estimate(ctx)
+        except Py4JJavaError as err:
+            if not deadline.cancelled(err):
+                raise
+        if est is None or est.t_dfs < est.t_join:
+            method, cut = "IDX-DFS", None
+        else:
+            method, cut = "IDX-JOIN", max(1, min(est.i_star, ctx.k - 1))
         decision = Decision(
             t_hat=t_hat,
-            used_full=False,
-            method="IDX-DFS",
-            cut=None,
-            estimate=None,
+            used_full=est is not None,
+            method=method,
+            cut=cut,
+            estimate=est,
             opt_s=time.perf_counter() - t0,
         )
-        res = idx_dfs(
-            ctx,
-            timeout_s=timeout_s,
-            row_cap=row_cap,
-            response_bar=response_bar,
-            constraints=constraints,
-        )
-        return res, decision
-
-    est = full_estimate(ctx)
-    if est.t_dfs < est.t_join:
-        method, cut = "IDX-DFS", None
-    else:
-        method, cut = "IDX-JOIN", max(1, min(est.i_star, ctx.k - 1))
-    decision = Decision(
-        t_hat=t_hat,
-        used_full=True,
-        method=method,
-        cut=cut,
-        estimate=est,
-        opt_s=time.perf_counter() - t0,
-    )
-    if method == "IDX-DFS":
-        res = idx_dfs(
-            ctx,
-            timeout_s=timeout_s,
-            row_cap=row_cap,
-            response_bar=response_bar,
-            constraints=constraints,
-        )
-    else:
-        res = idx_join(
-            ctx,
-            cut,
-            timeout_s=timeout_s,
-            row_cap=row_cap,
-            constraints=constraints,
-        )
+        if method == "IDX-DFS":
+            res = idx_dfs(
+                ctx,
+                timeout_s=deadline.remaining,
+                response_bar=response_bar,
+                constraints=constraints,
+            )
+        else:
+            res = idx_join(ctx, cut, timeout_s=deadline.remaining, constraints=constraints)
     return res, decision

@@ -1,8 +1,8 @@
 """Paper-table experiment drivers, shared by jobs/ and benchmarks/.
 
 Scale parameters (bench defaults) are the DESIGN.md §4 substitutions for
-the paper's setup: k=4 instead of 6 (graphs are ~1e3x smaller), a 15 s
-time limit instead of 120 s, 3–4 queries per set instead of 1,000, and
+the paper's setup: k=5 instead of 6 (graphs are ~1e3x smaller), a 30 s
+time limit instead of 120 s, 2 queries per set instead of 1,000, and
 response time measured at the first 100 results instead of 1,000.  The
 "<60s" / ">120s" thresholds of Tables 4/5 scale to TL/2 and TL.
 """
@@ -30,7 +30,6 @@ T_SHORT_S = TIMEOUT_S / 2
 K_DEFAULT = 5
 N_QUERIES = 2
 RESPONSE_BAR = 100
-ROW_CAP = 2_000_000
 SWEEP_GRAPHS = ("ep_s", "gg_s")
 SWEEP_KS = (2, 3, 4, 5)
 
@@ -94,7 +93,6 @@ def overall_experiment(spark: SparkSession, cfg: OverallConfig | None = None) ->
             queries,
             cfg.algos,
             timeout_s=cfg.timeout_s,
-            row_cap=ROW_CAP,
             response_bar=RESPONSE_BAR,
         )
         edges.unpersist()
@@ -137,7 +135,6 @@ def ksweep_experiment(spark: SparkSession, cfg: SweepConfig | None = None) -> li
                 queries,
                 cfg.algos,
                 timeout_s=cfg.timeout_s,
-                row_cap=ROW_CAP,
                 response_bar=RESPONSE_BAR,
             )
         edges.unpersist()

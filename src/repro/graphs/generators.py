@@ -20,6 +20,9 @@ from pyspark.sql import DataFrame, SparkSession
 
 EDGE_COLS = ["src", "dst"]
 
+#: seed-sequence entropy that keeps id permutations apart from edge draws.
+_PERM_STREAM = int.from_bytes(b"perm", "big")
+
 
 def _finalise(src: np.ndarray, dst: np.ndarray) -> pd.DataFrame:
     pdf = pd.DataFrame({"src": src.astype("int64"), "dst": dst.astype("int64")})
@@ -30,14 +33,15 @@ def _finalise(src: np.ndarray, dst: np.ndarray) -> pd.DataFrame:
 def _zipf_ids(g: np.random.Generator, n: int, m: int, alpha: float) -> np.ndarray:
     """Draw ``m`` vertex ids from 0..n-1 with Zipf(alpha) rank weights.
 
-    Vertex ids are shuffled ranks (seeded), so hub ids are spread over the
-    id space rather than clustered at 0 — queries sampling "top 10% by
-    degree" then exercise the hash-partitioned path, not a range artifact.
+    Vertex ids are shuffled ranks (seeded by ``n`` alone, so every process
+    draws the same graph), so hub ids are spread over the id space rather
+    than clustered at 0 — queries sampling "top 10% by degree" then
+    exercise the hash-partitioned path, not a range artifact.
     """
     ranks = np.arange(1, n + 1, dtype="float64")
     w = ranks ** (-alpha)
     w /= w.sum()
-    perm = np.random.default_rng(hash(("perm", n)) % (2**32)).permutation(n)
+    perm = np.random.default_rng((_PERM_STREAM, n)).permutation(n)
     return perm[g.choice(n, size=m, p=w)]
 
 

@@ -3,11 +3,16 @@ paper's key comparative claim — the index touches fewer edges than the
 barrier-pruned search (Figure 6's #Edges metric, asserted as ordering)."""
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro import pathoracle as po
 from repro.core.baselines import bc_dfs, bc_join
+from repro.core.context import build_context
 from repro.core.enumerate import idx_dfs, paths_to_strings
+from repro.graphs import generators as G
+from repro.graphs.queries import generate_queries
 from repro.oracle import assert_equivalent
 from tests.helpers import cached_ctx, edges_pdf, random_graph
 from tests.test_enumerate import ALL_CASES
@@ -61,3 +66,27 @@ def test_bc_dfs_timeout(spark):
 
     ctx = cached_ctx(spark, PAPER_EDGES, 0, 1, 4)
     assert bc_dfs(ctx, timeout_s=0.0).timed_out
+
+
+def test_bc_dfs_cancelled_at_time_limit(spark):
+    """The first hub-hub ep_s query at k=5 runs past 30 s under BC-DFS
+    (depth 4 alone touches ~6e6 candidates, depth 5 far more); a 3 s limit
+    must cancel it and keep the results of the depths that finished."""
+    cfg = G.suite_by_name("ep_s")
+    pdf = cfg.build_pdf()
+    q = generate_queries(pdf, k=5, n_queries=1, setting="hh", seed=cfg.seed)[0]
+    ctx = build_context(spark, G.to_spark(spark, pdf), q.s, q.t, q.k)
+    try:
+        t0 = time.perf_counter()
+        res = bc_dfs(ctx, timeout_s=3)
+        assert time.perf_counter() - t0 <= 4.0
+        assert res.timed_out
+        paths = [list(r["path"]) for r in res.paths.collect()]
+    finally:
+        ctx.unpersist()
+    assert len(paths) == res.n_results
+    edges = set(zip(pdf.src.tolist(), pdf.dst.tolist()))
+    for p in paths:
+        assert p[0] == q.s and p[-1] == q.t and len(p) - 1 <= q.k
+        assert len(set(p)) == len(p)
+        assert all((u, v) in edges for u, v in zip(p, p[1:]))

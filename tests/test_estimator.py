@@ -30,9 +30,9 @@ CASES = [
 for seed in range(4):
     pdf = random_graph(30, 2.5, seed)
     e = list(pdf.itertuples(index=False, name=None))
-    s_, t_ = int(pdf.src.iloc[0]), int(pdf.dst.iloc[len(pdf) // 2])
-    if s_ != t_:
-        CASES.append((f"rand{seed}", e, s_, t_, 4))
+    s_ = int(pdf.src.iloc[0])
+    t_ = next(int(v) for v in pdf.dst.iloc[len(pdf) // 2:] if v != s_)
+    CASES.append((f"rand{seed}", e, s_, t_, 4))
 
 
 @pytest.mark.parametrize("name,edges,s,t,k", CASES, ids=[c[0] for c in CASES])

@@ -1,11 +1,15 @@
-"""Unit tests for the shared expansion engine (timeouts, row caps,
-response bar, metrics, walk mode)."""
+"""Unit tests for the shared expansion engine (deadline, response bar,
+metrics) and the deadline's cancellation of running Spark jobs."""
 from __future__ import annotations
 
+import time
+
+import pyspark.sql.functions as F
 import pytest
+from py4j.protocol import Py4JJavaError
 
 from repro import pathoracle as po
-from repro.core.expand import expand, make_frontier
+from repro.core.expand import Deadline, expand, make_frontier
 from tests.helpers import CYCLE6, DIAMOND, PAPER_EDGES, cached_ctx
 
 
@@ -52,22 +56,26 @@ def test_emitted_per_depth_matches_length_histogram(ctx):
         assert d.emitted == by_len.get(d.pos, 0)
 
 
-def test_walk_mode_no_dedupe(ctx):
-    res, _, stats = _run(ctx, dedupe=False)
-    got = {po.path_str(r["path"]) for r in res.collect()}
-    assert got == po.python_walks(PAPER_EDGES, 0, 1, 4)
-
-
 def test_timeout_flag(ctx):
-    _, _, stats = _run(ctx, timeout_s=0.0)
+    with Deadline(ctx.spark, 0.0) as deadline:
+        _, _, stats = _run(ctx, deadline=deadline)
     assert stats.timed_out
     assert stats.depth_stats == []
 
 
-def test_row_cap(ctx):
-    _, _, stats = _run(ctx, row_cap=0)
-    assert stats.row_capped and stats.timed_out
-    assert len(stats.depth_stats) == 1
+def test_deadline_cancels_running_job(spark):
+    # ~1e12 rows: far more than 2 s of work on any machine.
+    slow = spark.range(0, 10**12, numPartitions=8).select(F.max(F.xxhash64("id")))
+    t0 = time.perf_counter()
+    with Deadline(spark, 2.0) as deadline:
+        with pytest.raises(Py4JJavaError) as err:
+            slow.collect()
+        assert deadline.cancelled(err.value)
+    assert time.perf_counter() - t0 <= 3.0
+    assert deadline.expired
+    # the deadline's tag is gone: a later job outlives the re-cancel period.
+    later = spark.range(0, 10**8, numPartitions=8).select(F.max(F.xxhash64("id")))
+    assert later.collect()[0][0] is not None
 
 
 def test_response_bar_hit(ctx):

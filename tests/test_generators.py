@@ -1,6 +1,11 @@
 """Unit tests for the synthetic graph generators (Table 2 substrate)."""
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pandas as pd
 import pytest
 
@@ -100,3 +105,21 @@ def test_bad_kind_raises():
     cfg = G.GraphConfig("x", "x", "weird", 10, 2.0, 1.0, 0, "T")
     with pytest.raises(ValueError):
         cfg.build_pdf()
+
+
+def test_suite_graph_ignores_hash_seed():
+    """Two processes with different str-hash seeds build the same graph."""
+    code = (
+        "import hashlib; from repro.graphs.generators import suite_by_name; "
+        "pdf = suite_by_name('ep_s').build_pdf(); "
+        "print(hashlib.sha256(pdf.to_numpy().tobytes()).hexdigest())"
+    )
+    src = str(Path(G.__file__).resolve().parents[2])
+    digests = set()
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        digests.add(out.stdout.strip())
+    assert len(digests) == 1

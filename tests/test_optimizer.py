@@ -2,6 +2,8 @@
 and end-to-end correctness whichever plan it picks."""
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro import pathoracle as po
@@ -76,3 +78,12 @@ def test_decision_records_t_hat_and_time(spark):
     _, decision = path_enum(ctx)
     assert decision.t_hat >= 0
     assert decision.opt_s > 0
+
+
+def test_time_limit_covers_estimators(spark):
+    # tau=0 forces the full estimator, seconds of Spark jobs on its own.
+    ctx = cached_ctx(spark, PAPER_EDGES, 0, 1, 4)
+    t0 = time.perf_counter()
+    res, _ = path_enum(ctx, tau=0.0, timeout_s=0.5)
+    assert time.perf_counter() - t0 <= 1.5
+    assert res.timed_out

@@ -6,6 +6,7 @@ import pytest
 
 from repro import pathoracle
 from repro.core.baselines import bc_dfs, bc_join
+from repro.core.context import build_context
 from repro.core.enumerate import idx_dfs, idx_join, paths_to_strings
 from repro.core.optimizer import path_enum
 from repro.oracle import assert_equivalent
@@ -49,3 +50,10 @@ def test_smoke_path_enum(ctx):
 def test_smoke_index_smaller_than_barrier(ctx):
     assert ctx.n_index_edges <= ctx.n_barrier_edges
     assert ctx.n_index_edges > 0
+
+
+@pytest.mark.parametrize("s,t,k", [(0, 0, 4), (0, 1, 0)], ids=["s-equals-t", "k-below-1"])
+def test_build_context_rejects_invalid_query(spark, s, t, k):
+    # edges=None: any Spark work before the check would fail another way.
+    with pytest.raises(ValueError):
+        build_context(spark, None, s, t, k)

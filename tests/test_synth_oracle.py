@@ -1,52 +1,36 @@
-"""Sanity checks on the provided TPC-H-lite generators and the DuckDB
-result-equality oracle (the shared correctness substrate)."""
+"""Sanity checks on the DuckDB result-equality oracle (the shared
+correctness substrate), on an out-degree aggregate of the paper's running
+example."""
 from __future__ import annotations
 
 import pyspark.sql.functions as F
 import pytest
 
-from repro import synth_data
 from repro.oracle import assert_equivalent
+from tests.helpers import PAPER_EDGES, edges_df
 
 
-def test_lineitem_deterministic(spark):
-    a = synth_data.lineitem(spark, sf=0.001, seed=0).toPandas()
-    b = synth_data.lineitem(spark, sf=0.001, seed=0).toPandas()
-    assert a.equals(b)
+@pytest.fixture(scope="module")
+def g(spark):
+    return edges_df(spark, PAPER_EDGES)
 
 
-def test_oracle_agreement_on_aggregate(spark):
-    li = synth_data.lineitem(spark, sf=0.001, seed=0)
-    got = li.groupBy("l_returnflag").agg(
-        F.sum("l_quantity").alias("q"), F.count("*").alias("n")
-    )
+def test_oracle_agreement_on_aggregate(g):
+    got = g.groupBy("src").agg(F.count("*").alias("n"), F.max("dst").alias("m"))
     assert_equivalent(
         got,
-        "SELECT l_returnflag, sum(l_quantity) AS q, count(*) AS n "
-        "FROM li GROUP BY l_returnflag",
-        li=li,
+        "SELECT src, count(*) AS n, max(dst) AS m FROM g GROUP BY src",
+        g=g,
     )
 
 
-def test_oracle_catches_wrong_result(spark):
-    li = synth_data.lineitem(spark, sf=0.001, seed=0)
-    wrong = li.groupBy("l_returnflag").agg((F.sum("l_quantity") + 1).alias("q"))
+def test_oracle_catches_wrong_result(g):
+    wrong = g.groupBy("src").agg((F.count("*") + 1).alias("n"))
     with pytest.raises(AssertionError):
-        assert_equivalent(
-            wrong,
-            "SELECT l_returnflag, sum(l_quantity) AS q FROM li GROUP BY l_returnflag",
-            li=li,
-        )
+        assert_equivalent(wrong, "SELECT src, count(*) AS n FROM g GROUP BY src", g=g)
 
 
-def test_oracle_catches_column_mismatch(spark):
-    li = synth_data.lineitem(spark, sf=0.001, seed=0)
-    got = li.select(F.col("l_orderkey").alias("wrong_name")).limit(1)
+def test_oracle_catches_column_mismatch(g):
+    got = g.select(F.col("src").alias("wrong_name")).limit(1)
     with pytest.raises(AssertionError):
-        assert_equivalent(got, "SELECT l_orderkey FROM li LIMIT 1", li=li)
-
-
-def test_zipf_keys_skewed(spark):
-    df = synth_data.zipf_keys(spark, n=5000, n_keys=100, alpha=1.3).toPandas()
-    counts = df.k.value_counts()
-    assert counts.iloc[0] > 5 * counts.mean()
+        assert_equivalent(got, "SELECT src FROM g LIMIT 1", g=g)
