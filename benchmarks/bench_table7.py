@@ -4,26 +4,11 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.exp.experiments import (
-    RESULTS_DIR,
-    ksweep_experiment,
-    load_stats,
-    save_stats,
-    table7_report,
-)
-
-
-def _stats(spark):
-    try:
-        return load_stats("ksweep")
-    except FileNotFoundError:
-        stats = ksweep_experiment(spark)
-        save_stats("ksweep", stats)
-        return stats
+from repro.exp.experiments import RESULTS_DIR, sweep_stats, table7_report
 
 
 def test_table7(spark, benchmark):
-    stats = _stats(spark)
+    stats = sweep_stats(spark)
     report = benchmark.pedantic(lambda: table7_report(stats), rounds=1, iterations=1)
     Path(RESULTS_DIR / "table7.md").write_text(report + "\n")
     print("\n" + report)

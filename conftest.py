@@ -42,13 +42,13 @@ os.environ.setdefault(
     "PYSPARK_SUBMIT_ARGS",
     f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
     f"--driver-memory {os.environ['SPARK_DRIVER_MEM']} "
-    f"--conf spark.driver.host=127.0.0.1 "
-    f"--conf spark.ui.enabled=false "
     "pyspark-shell",
 )
 
 import pytest  # noqa: E402
 from pyspark.sql import SparkSession  # noqa: E402
+
+from repro.session import get_spark  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -56,23 +56,9 @@ def spark() -> SparkSession:
     """One local-mode SparkSession for the whole test session.
 
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
-    pre-JVM-launch). Per-session configs that *are* honoured post-launch
-    are set here. The graphs under test are small (tens to thousands of
-    vertices), so 8 shuffle partitions, not coalesced for parallelism,
-    keep scheduler latency down. Broadcast joins are disabled so the
-    enumerators' joins exercise the shuffle path they take at scale.
+    pre-JVM-launch); every other setting from :func:`repro.session.get_spark`.
     """
-    s = (
-        SparkSession.builder.appName("repro")
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "8"),
-        )
-        .config("spark.sql.adaptive.coalescePartitions.parallelismFirst", "false")
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
+    s = get_spark("repro")
     # One line in test_output.txt that tells the driver whether the
     # cgroup derivation saw the real limit (README § Spark target).
     print(

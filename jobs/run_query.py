@@ -7,11 +7,10 @@ from __future__ import annotations
 
 import argparse
 
-from _common import get_spark
-
 from repro.exp.harness import ALGOS, run_query_set
 from repro.graphs import generators as G
 from repro.graphs.queries import generate_queries
+from repro.session import get_spark
 
 
 def main() -> None:

@@ -6,8 +6,6 @@ from __future__ import annotations
 
 import argparse
 
-from _common import get_spark
-
 from repro.exp.experiments import (
     K_DEFAULT,
     N_QUERIES,
@@ -17,6 +15,7 @@ from repro.exp.experiments import (
     save_stats,
     table3_report,
 )
+from repro.session import get_spark
 
 
 def main() -> None:

@@ -1,7 +1,6 @@
 """Run (or reuse) the k-sweep and print Table 4 (query-time distribution)."""
-from _common import get_spark, sweep_stats
-
-from repro.exp.experiments import table4_report
+from repro.exp.experiments import sweep_stats, table4_report
+from repro.session import get_spark
 
 if __name__ == "__main__":
     spark = get_spark("table4")

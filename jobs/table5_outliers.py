@@ -1,7 +1,6 @@
 """Run (or reuse) the k-sweep and print Table 5 (short vs long queries)."""
-from _common import get_spark, sweep_stats
-
-from repro.exp.experiments import table5_report
+from repro.exp.experiments import sweep_stats, table5_report
+from repro.session import get_spark
 
 if __name__ == "__main__":
     spark = get_spark("table5")

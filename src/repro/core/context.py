@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import pyspark.sql.functions as F
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.index import build_index_edges
+from repro.core.index import build_index_edges, endpoint_join
 from repro.graphs.bfs import distance_table
 
 
@@ -50,25 +50,9 @@ def build_barrier_edges(edges: DataFrame, dist: DataFrame, k: int) -> DataFrame:
     endpoints satisfy S(s,v|G) + S(v,t|G) <= k.  Coarser than the index:
     no per-budget bucketing, and full-graph distances ignore the interior
     s/t exclusion, so BC-* touches strictly more candidates per step."""
-    src_d = dist.select(
-        F.col("v").alias("src"),
-        F.col("dsf").alias("dsf_src"),
-        F.col("dtf").alias("dtf_src"),
-    )
-    dst_d = dist.select(
-        F.col("v").alias("dst"),
-        F.col("dsf").alias("dsf_dst"),
-        F.col("dtf").alias("dtf_dst"),
-    )
-    extras = [c for c in edges.columns if c not in ("src", "dst")]
-    return (
-        edges.join(src_d, "src")
-        .join(dst_d, "dst")
-        .where(
-            (F.col("dsf_src") + F.col("dtf_src") <= k)
-            & (F.col("dsf_dst") + F.col("dtf_dst") <= k)
-        )
-        .select("src", "dst", "dsf_src", "dtf_src", "dsf_dst", "dtf_dst", *extras)
+    return endpoint_join(edges, dist, "dsf", "dtf").where(
+        (F.col("dsf_src") + F.col("dtf_src") <= k)
+        & (F.col("dsf_dst") + F.col("dtf_dst") <= k)
     )
 
 

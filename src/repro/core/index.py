@@ -21,10 +21,33 @@ partitions ``C_i`` (paper ``I(i)``) come from the distance table.
 from __future__ import annotations
 
 import pyspark.sql.functions as F
-from pyspark.sql import Column, DataFrame
+from pyspark.sql import DataFrame
 
 #: estimated in-memory row width of an index edge (6 numeric fields).
 INDEX_EDGE_BYTES = 6 * 8
+
+
+def endpoint_join(edges: DataFrame, dist: DataFrame, a: str, b: str) -> DataFrame:
+    """The distinct edges with distance columns ``a``, ``b`` of both endpoints.
+
+    Returns ``(src, dst, a_src, b_src, a_dst, b_dst, *extras)``, where
+    ``extras`` are any further edge columns.  Only edges with both
+    endpoints in the distance table survive; duplicate input rows are
+    removed, since the answer to a query is a set of paths.
+    """
+
+    def end(name: str) -> DataFrame:
+        return dist.select(
+            F.col("v").alias(name), F.col(a).alias(f"{a}_{name}"), F.col(b).alias(f"{b}_{name}")
+        )
+
+    extras = [c for c in edges.columns if c not in ("src", "dst")]
+    return (
+        edges.join(end("src"), "src")
+        .join(end("dst"), "dst")
+        .select("src", "dst", f"{a}_src", f"{b}_src", f"{a}_dst", f"{b}_dst", *extras)
+        .distinct()
+    )
 
 
 def build_index_edges(edges: DataFrame, dist: DataFrame, s: int, t: int, k: int) -> DataFrame:
@@ -34,40 +57,9 @@ def build_index_edges(edges: DataFrame, dist: DataFrame, s: int, t: int, k: int)
     NULL distances mean "not within k hops" and fail every comparison, so
     unreachable vertices drop out exactly as in the paper.
     """
-    src_d = dist.select(
-        F.col("v").alias("src"),
-        F.col("ds").alias("ds_src"),
-        F.col("dt").alias("dt_src"),
+    return endpoint_join(edges, dist, "ds", "dt").where(
+        (F.col("ds_src") + F.col("dt_src") <= k)
+        & (F.col("ds_src") + 1 + F.col("dt_dst") <= k)
+        & (F.col("src") != F.lit(t))
+        & (F.col("dst") != F.lit(s))
     )
-    dst_d = dist.select(
-        F.col("v").alias("dst"),
-        F.col("ds").alias("ds_dst"),
-        F.col("dt").alias("dt_dst"),
-    )
-    extras = [c for c in edges.columns if c not in ("src", "dst")]
-    return (
-        edges.join(src_d, "src")
-        .join(dst_d, "dst")
-        .where(
-            (F.col("ds_src") + F.col("dt_src") <= k)
-            & (F.col("ds_src") + 1 + F.col("dt_dst") <= k)
-            & (F.col("src") != F.lit(t))
-            & (F.col("dst") != F.lit(s))
-        )
-        .select("src", "dst", "ds_src", "dt_src", "ds_dst", "dt_dst", *extras)
-    )
-
-
-def c_i_condition(i: int, k: int) -> Column:
-    """Membership predicate for C_i = I(i) over the distance table."""
-    return (F.col("ds") <= i) & (F.col("dt") <= k - i)
-
-
-def c_i(dist: DataFrame, i: int, k: int) -> DataFrame:
-    """The vertex partition C_i (paper lookup ``I(i)``)."""
-    return dist.where(c_i_condition(i, k)).select("v")
-
-
-def index_size_bytes(n_index_edges: int) -> int:
-    """Table-7-style index memory estimate from the edge count."""
-    return n_index_edges * INDEX_EDGE_BYTES

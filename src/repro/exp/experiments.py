@@ -141,6 +141,16 @@ def ksweep_experiment(spark: SparkSession, cfg: SweepConfig | None = None) -> li
     return stats
 
 
+def sweep_stats(spark: SparkSession) -> list[QueryStats]:
+    """The cached k-sweep (``results/ksweep.json``), run and saved if absent."""
+    try:
+        return load_stats("ksweep")
+    except FileNotFoundError:
+        stats = ksweep_experiment(spark)
+        save_stats("ksweep", stats)
+        return stats
+
+
 def table4_report(stats: list[QueryStats], timeout_s: float = TIMEOUT_S) -> str:
     headers, rows = T.table4_rows(stats, t_short_s=timeout_s / 2, t_long_s=timeout_s * 0.99)
     return T.render(

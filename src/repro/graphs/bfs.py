@@ -1,4 +1,4 @@
-"""Bounded multi-source BFS as iterative DataFrame joins.
+"""The per-query distance table as one bounded, multi-tag BFS loop.
 
 PathEnum's index needs four distance fields per query (Algorithm 3 plus
 the barrier baseline):
@@ -8,90 +8,23 @@ the barrier baseline):
 * ``dsf`` = S(s, v | G)      — forward from s (baseline barrier pruning)
 * ``dtf`` = S(v, t | G)      — reverse from t (baseline barrier pruning)
 
-All four run in ONE iterative loop: each BFS is a *tag*, the tagged edge
-sets are unioned, and every iteration expands every tag's frontier with a
-single join (Pregel-style, Catalyst-native — the PySpark stand-in for
-GraphX).  "G-{x}" is realised as *reach-but-never-expand*: the excluded
-vertex may receive a distance (t is the endpoint of every path, s the
-start) but is filtered out of the frontier before each join, so no path
-through its interior is counted.  Depth is bounded by the hop constraint
-``k`` — distances larger than k are useless to the index and are never
-computed.
+All four run in ONE iterative loop: each BFS is a *tag*, the four tagged
+edge sets are unioned, and every iteration expands every tag's frontier
+with a single join (Pregel-style, Catalyst-native — the PySpark stand-in
+for GraphX).  "G-{x}" is realised as *edge removal*: the ``ds`` copy has
+no edge out of t and the ``dt`` copy (reversed) no edge out of s, so the
+excluded vertex still receives a distance (t ends every path, s starts
+it) but no path through its interior is counted.
+
+Each level is materialised by one eager ``localCheckpoint``, which also
+counts the level's rows through an :class:`~pyspark.sql.Observation`; the
+loop stops after a level adds nothing, or at the hop bound ``k`` —
+distances larger than k are useless to the index and never computed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import pyspark.sql.functions as F
-from pyspark.sql import DataFrame, SparkSession
-
-
-@dataclass(frozen=True)
-class BfsSpec:
-    """One BFS instance: tag name, root vertex, optional non-expandable
-    vertex, and direction (reverse walks the transposed graph)."""
-
-    tag: str
-    root: int
-    excluded: int | None = None
-    reverse: bool = False
-
-
-def bounded_bfs(
-    spark: SparkSession,
-    edges: DataFrame,
-    specs: list[BfsSpec],
-    max_depth: int,
-) -> DataFrame:
-    """Run all ``specs`` simultaneously, bounded at ``max_depth`` hops.
-
-    Returns a DataFrame ``(tag: string, v: long, dist: int)`` containing
-    every vertex within ``max_depth`` of its tag's root (root included at
-    dist 0).  Vertices not reached are simply absent.
-    """
-    tagged = None
-    for sp in specs:
-        e = edges.select(F.col("dst").alias("src"), F.col("src").alias("dst")) if sp.reverse else edges.select("src", "dst")
-        e = e.withColumn("tag", F.lit(sp.tag))
-        tagged = e if tagged is None else tagged.unionByName(e)
-    tagged = tagged.persist()
-
-    levels = [
-        spark.createDataFrame(
-            [(sp.tag, sp.root, 0) for sp in specs], schema="tag string, v long, dist int"
-        ).localCheckpoint(eager=True)
-    ]
-    frontier = levels[0]
-    blocked = [(sp.tag, sp.excluded) for sp in specs if sp.excluded is not None]
-    blocked_df = (
-        spark.createDataFrame(blocked, schema="tag string, v long") if blocked else None
-    )
-
-    for depth in range(1, max_depth + 1):
-        f = frontier
-        if blocked_df is not None:
-            f = f.join(blocked_df, on=["tag", "v"], how="left_anti")
-        visited = levels[0]
-        for lvl in levels[1:]:
-            visited = visited.unionByName(lvl)
-        nxt = (
-            f.join(tagged, on=[f.tag == tagged.tag, f.v == tagged.src], how="inner")
-            .select(tagged.tag.alias("tag"), tagged.dst.alias("v"))
-            .distinct()
-            .join(visited, on=["tag", "v"], how="left_anti")
-            .withColumn("dist", F.lit(depth))
-            .localCheckpoint(eager=True)
-        )
-        if nxt.isEmpty():
-            break
-        levels.append(nxt)
-        frontier = nxt
-
-    tagged.unpersist()
-    out = levels[0]
-    for lvl in levels[1:]:
-        out = out.unionByName(lvl)
-    return out
+from pyspark.sql import DataFrame, Observation, SparkSession
 
 
 def distance_table(
@@ -107,15 +40,34 @@ def distance_table(
     index filters treat NULL as "outside the index", which is exactly the
     paper's pruning semantics.
     """
-    specs = [
-        BfsSpec("ds", s, excluded=t, reverse=False),
-        BfsSpec("dt", t, excluded=s, reverse=True),
-        BfsSpec("dsf", s, excluded=None, reverse=False),
-        BfsSpec("dtf", t, excluded=None, reverse=True),
-    ]
-    raw = bounded_bfs(spark, edges, specs, k)
-    return (
-        raw.groupBy("v")
-        .pivot("tag", ["ds", "dt", "dsf", "dtf"])
-        .agg(F.first("dist"))
+    fwd = edges.select(F.col("src").alias("v"), "dst")
+    rev = edges.select(F.col("dst").alias("v"), F.col("src").alias("dst"))
+    tagged = (
+        fwd.where(F.col("v") != t).withColumn("tag", F.lit("ds"))
+        .unionByName(rev.where(F.col("v") != s).withColumn("tag", F.lit("dt")))
+        .unionByName(fwd.withColumn("tag", F.lit("dsf")))
+        .unionByName(rev.withColumn("tag", F.lit("dtf")))
+        .persist()
     )
+    seen = spark.createDataFrame(
+        [("ds", s, 0), ("dt", t, 0), ("dsf", s, 0), ("dtf", t, 0)],
+        schema="tag string, v long, dist int",
+    )
+    frontier = seen
+    for depth in range(1, k + 1):
+        level = Observation()
+        frontier = (
+            frontier.join(tagged, on=["tag", "v"])
+            .select("tag", F.col("dst").alias("v"))
+            .distinct()
+            .join(seen, on=["tag", "v"], how="left_anti")
+            .withColumn("dist", F.lit(depth))
+            .observe(level, F.count(F.lit(1)).alias("n"))
+            .localCheckpoint(eager=True)
+        )
+        if level.get["n"] == 0:
+            break
+        seen = seen.unionByName(frontier)
+
+    tagged.unpersist()
+    return seen.groupBy("v").pivot("tag", ["ds", "dt", "dsf", "dtf"]).agg(F.first("dist"))

@@ -87,7 +87,8 @@ def duckdb_path_sql(
     """Recursive-CTE SQL enumerating simple s->t paths of length <= k.
 
     The walk stops expanding at ``t`` (Definition 2.1: no interior t) and
-    the ``list_contains`` check enforces simplicity.  With
+    the ``list_contains`` check enforces simplicity.  Rows are distinct:
+    the answer is a set of paths, which duplicate edges must not repeat.  With
     ``weight_filter`` (a SQL predicate over ``acc``), the edges table must
     carry a ``weight`` column and the accumulated sum is filtered at
     emission — the oracle for Algorithm 7.
@@ -104,7 +105,7 @@ WITH RECURSIVE w AS (
   WHERE w.len < {k} AND w.last <> CAST({t} AS BIGINT)
     AND NOT list_contains(w.vs, e.dst)
 )
-SELECT array_to_string(vs, '-') AS {path_col} FROM w
+SELECT DISTINCT array_to_string(vs, '-') AS {path_col} FROM w
 WHERE last = CAST({t} AS BIGINT){acc_where}
 """.strip()
 

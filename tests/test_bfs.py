@@ -1,88 +1,96 @@
-"""Distributed bounded BFS vs. the pure-Python reference."""
+"""Distributed distance table vs. the pure-Python reference BFS."""
 from __future__ import annotations
 
 import pytest
 
-from repro.graphs.bfs import BfsSpec, bounded_bfs, distance_table
+from repro.graphs.bfs import distance_table
 from tests.helpers import CYCLE6, LINE, PAPER_EDGES, edges_df, py_bfs, random_graph
 
 
-def _spark_dists(spark, edges, spec: BfsSpec, depth: int) -> dict[int, int]:
-    out = bounded_bfs(spark, edges_df(spark, edges), [spec], depth)
-    return {r["v"]: r["dist"] for r in out.collect()}
+def _columns(spark, edges, s: int, t: int, k: int) -> dict[str, dict[int, int]]:
+    """Each distance column of q(s,t,k) as ``{v: dist}``, NULLs left out."""
+    rows = distance_table(spark, edges_df(spark, edges), s, t, k).collect()
+    return {
+        c: {r["v"]: r[c] for r in rows if r[c] is not None} for c in ("ds", "dt", "dsf", "dtf")
+    }
+
+
+def _reference(edges, s: int, t: int, k: int) -> dict[str, dict[int, int]]:
+    return {
+        "ds": py_bfs(edges, s, excluded=t, max_depth=k),
+        "dt": py_bfs(edges, t, excluded=s, reverse=True, max_depth=k),
+        "dsf": py_bfs(edges, s, max_depth=k),
+        "dtf": py_bfs(edges, t, reverse=True, max_depth=k),
+    }
 
 
 def test_line_forward(spark):
-    d = _spark_dists(spark, LINE, BfsSpec("x", 0), 10)
+    d = _columns(spark, LINE, 0, 4, 10)["dsf"]
     assert d == {0: 0, 1: 1, 2: 2, 3: 3, 4: 4}
 
 
 def test_line_reverse(spark):
-    d = _spark_dists(spark, LINE, BfsSpec("x", 4, reverse=True), 10)
+    d = _columns(spark, LINE, 0, 4, 10)["dtf"]
     assert d == {4: 0, 3: 1, 2: 2, 1: 3, 0: 4}
 
 
 def test_depth_bound(spark):
-    d = _spark_dists(spark, LINE, BfsSpec("x", 0), 2)
+    d = _columns(spark, LINE, 0, 4, 2)["dsf"]
     assert d == {0: 0, 1: 1, 2: 2}
 
 
 def test_cycle(spark):
-    d = _spark_dists(spark, CYCLE6, BfsSpec("x", 0), 10)
+    d = _columns(spark, CYCLE6, 0, 3, 10)["dsf"]
     assert d == {i: i for i in range(6)}
 
 
 def test_excluded_reach_but_not_expand(spark):
-    # 0->1->2 and 0->3->2; excluding 1 must still reach 1 (dist 1) but 2
+    # 0->1->2 and 0->3->2; with t=1, ds must still reach 1 (dist 1) but 2
     # only via 3 (dist 2).
     edges = [(0, 1), (1, 2), (0, 3), (3, 2)]
-    d = _spark_dists(spark, edges, BfsSpec("x", 0, excluded=1), 5)
+    d = _columns(spark, edges, 0, 1, 5)["ds"]
     assert d == {0: 0, 1: 1, 3: 1, 2: 2}
-    # now excluding 3: 2 is reached through 1 (same dist here)
+    # now with t=3: 2 is reached through 1 (same dist here)
     edges2 = [(0, 1), (1, 4), (4, 2), (0, 3), (3, 2)]
-    d2 = _spark_dists(spark, edges2, BfsSpec("x", 0, excluded=3), 5)
+    d2 = _columns(spark, edges2, 0, 3, 5)["ds"]
     assert d2 == {0: 0, 1: 1, 3: 1, 4: 2, 2: 3}
 
 
 def test_unreachable_absent(spark):
     edges = [(0, 1), (2, 3)]
-    d = _spark_dists(spark, edges, BfsSpec("x", 0), 5)
+    d = _columns(spark, edges, 0, 3, 5)["dsf"]
     assert d == {0: 0, 1: 1}
 
 
 def test_multi_tag_independent(spark):
     edges = [(0, 1), (1, 2), (2, 0)]
-    out = bounded_bfs(
-        spark,
-        edges_df(spark, edges),
-        [BfsSpec("a", 0), BfsSpec("b", 2, reverse=True)],
-        5,
-    )
-    rows = {(r["tag"], r["v"]): r["dist"] for r in out.collect()}
-    assert rows[("a", 0)] == 0 and rows[("a", 2)] == 2
-    assert rows[("b", 2)] == 0 and rows[("b", 0)] == 2
+    got = _columns(spark, edges, 0, 2, 5)
+    assert got == {
+        "ds": {0: 0, 1: 1, 2: 2},
+        "dt": {2: 0, 1: 1, 0: 2},
+        "dsf": {0: 0, 1: 1, 2: 2},
+        "dtf": {2: 0, 1: 1, 0: 2},
+    }
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("reverse", [False, True])
 def test_random_graph_matches_reference(spark, seed, reverse):
+    """``reverse`` roots the query's t, not its s, at the first edge's source."""
     pdf = random_graph(60, 3.0, seed)
     edges = list(pdf.itertuples(index=False, name=None))
     root = int(pdf.src.iloc[0])
-    got = _spark_dists(spark, edges, BfsSpec("x", root, reverse=reverse), 4)
-    want = py_bfs(edges, root, reverse=reverse, max_depth=4)
-    assert got == want
+    other = int(pdf.dst[pdf.dst != root].iloc[0])
+    s, t = (other, root) if reverse else (root, other)
+    assert _columns(spark, edges, s, t, 4) == _reference(edges, s, t, 4)
 
 
 @pytest.mark.parametrize("seed", [3, 4])
 def test_random_graph_excluded_matches_reference(spark, seed):
     pdf = random_graph(50, 3.0, seed)
     edges = list(pdf.itertuples(index=False, name=None))
-    root = int(pdf.src.iloc[0])
-    excl = int(pdf.dst.iloc[0])
-    got = _spark_dists(spark, edges, BfsSpec("x", root, excluded=excl), 4)
-    want = py_bfs(edges, root, excluded=excl, max_depth=4)
-    assert got == want
+    s, t = int(pdf.src.iloc[0]), int(pdf.dst.iloc[0])
+    assert _columns(spark, edges, s, t, 4) == _reference(edges, s, t, 4)
 
 
 def test_distance_table_columns_and_semantics(spark):
@@ -108,3 +116,23 @@ def test_distance_table_full_vs_restricted(spark):
             assert r["ds"] >= r["dsf"]
         if r["dt"] is not None and r["dtf"] is not None:
             assert r["dt"] >= r["dtf"]
+
+
+def test_stops_once_a_level_adds_nothing(spark):
+    """On LINE level 5 is empty for every tag, so k=10 launches no more
+    Spark jobs than k=5: the loop ends on the level's observed row count."""
+    sc = spark.sparkContext
+    edges = edges_df(spark, LINE)
+
+    def jobs(k: int) -> int:
+        tag = f"test-bfs-k{k}"
+        sc.addJobTag(tag)
+        try:
+            distance_table(spark, edges, 0, 4, k).collect()
+        finally:
+            sc.removeJobTag(tag)
+        jsc = sc._jsc.sc()
+        jsc.listenerBus().waitUntilEmpty()
+        return len(jsc.statusTracker().getJobIdsForTag(tag))
+
+    assert jobs(10) == jobs(5)

@@ -25,6 +25,10 @@ CASES = [
     ("line", LINE, 0, 4, 4),
     ("cycle", CYCLE6, 0, 3, 6),
     ("no-result", LINE, 4, 0, 4),
+    ("duplicate-edges", PAPER_EDGES + [(0, 2), (2, 1)], 0, 1, 4),
+    ("self-loops", PAPER_EDGES + [(0, 0), (1, 1), (2, 2)], 0, 1, 4),
+    ("t-absent", LINE, 0, 9, 4),
+    ("k1", LINE, 0, 1, 1),
 ]
 
 
