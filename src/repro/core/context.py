@@ -10,12 +10,12 @@ for BC-*) — see DESIGN.md §7.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import pyspark.sql.functions as F
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame, Observation, SparkSession
 
-from repro.core.index import build_index_edges, endpoint_join
+from repro.core.index import build_index_edges, endpoint_join, eq5_counts
 from repro.graphs.bfs import distance_table
 
 
@@ -35,7 +35,7 @@ class QueryContext:
     bfs_s: float              # wall time of the shared 4-tag BFS
     index_s: float            # wall time to materialise index edges
     barrier_s: float          # wall time to materialise barrier edges
-    gamma: list[float] = field(default_factory=list)  # cached Eq.5 stats
+    gamma: list[float]        # Eq. 5 branching factors gamma_j, j < k
 
     def unpersist(self) -> None:
         for df in (self.dist, self.index_edges, self.barrier_edges):
@@ -65,20 +65,24 @@ def build_context(
 ) -> QueryContext:
     """Run the BFS phase and materialise both pruned edge sets.
 
-    Raises ``ValueError`` for a query outside Definition 2.1 (``s == t`` or
-    ``k < 1``) before any Spark job runs.
+    Eq. 5's statistics are observed on the jobs that materialise the
+    distance table and the index edges.  Raises ``ValueError`` for a query
+    outside Definition 2.1 (``s == t`` or ``k < 1``) before any Spark job
+    runs.
     """
     if s == t:
         raise ValueError(f"s and t must differ, got s = t = {s}")
     if k < 1:
         raise ValueError(f"hop bound k must be at least 1, got {k}")
+    sizes, branches = Observation(), Observation()
+    size_n, branch_n = eq5_counts(k)
     t0 = time.perf_counter()
-    dist = distance_table(spark, edges, s, t, k).persist()
+    dist = distance_table(spark, edges, s, t, k).observe(sizes, size_n).persist()
     dist.count()
     bfs_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    idx = build_index_edges(edges, dist, s, t, k).persist()
+    idx = build_index_edges(edges, dist, s, t, k).observe(branches, branch_n).persist()
     n_idx = idx.count()
     index_s = time.perf_counter() - t0
 
@@ -100,4 +104,5 @@ def build_context(
         bfs_s=bfs_s,
         index_s=index_s,
         barrier_s=barrier_s,
+        gamma=[n / c if c else 0.0 for n, c in zip(branches.get["n"], sizes.get["n"])],
     )

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import pyspark.sql.functions as F
 from py4j.protocol import Py4JJavaError
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, Observation
 
 from repro.core.constraints import NO_CONSTRAINTS, AccumulativeConstraint, Constraints
 from repro.core.context import QueryContext
@@ -152,8 +152,6 @@ def _join_enum(
         )
     spark, s, t, k = ctx.spark, ctx.s, ctx.t, ctx.k
     t0 = time.perf_counter()
-    if k < 2:
-        cut = 0
     cut = max(0, min(cut, k - 1))
     acc_c = constraints.accumulative
     detail: dict = {"cut": cut}
@@ -179,8 +177,8 @@ def _join_enum(
         try:
             if st_a.timed_out:
                 raise TimeoutError
-            ra = ra.localCheckpoint(eager=True)
-            detail["n_ra"] = ra.count()
+            # R_a is the last prefix level's frontier, or (s) itself at cut 0.
+            detail["n_ra"] = st_a.depth_stats[-1].frontier if cut else 1
             if detail["n_ra"]:
                 joined = _suffix_join(
                     ctx, edges, ra, cut, detail,
@@ -261,11 +259,10 @@ def _suffix_join(
     detail["stats_b"] = st_b
     if st_b.timed_out:
         raise TimeoutError
-    sfx = sfx.localCheckpoint(eager=True)
-    detail["n_rb"] = sfx.count()
+    detail["n_rb"] = st_b.total_emitted
 
     # Phase 3: hash join on the cut vertex + simple-path filter (Alg 6 l.6-8).
-    # It is one Spark job, so it is launched only while there is time left.
+    # It is launched only while there is time left.
     if deadline.expired:
         raise TimeoutError
     pre_cols = [ra["path"].alias("a_path"), ra["last"].alias("a_last")]
@@ -290,6 +287,7 @@ def _suffix_join(
     )
     if acc_c:
         joined = joined.where(acc_c.emit_pred)
-    joined = joined.localCheckpoint(eager=True)
-    detail["n_joined"] = joined.count()
+    out = Observation()
+    joined = joined.observe(out, F.count(F.lit(1)).alias("n")).localCheckpoint(eager=True)
+    detail["n_joined"] = out.get["n"]
     return joined

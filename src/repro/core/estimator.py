@@ -3,8 +3,8 @@
 Two estimators with different cost/accuracy trade-offs:
 
 * :func:`preliminary_estimate` (Eq. 5) — per-position average branching
-  factors ``gamma_j`` over the index, multiplied out on the driver.  Two
-  small aggregation jobs; used to gate the expensive path.
+  factors ``gamma_j`` over the index, multiplied out on the driver; no
+  Spark job.  Used to gate the expensive path.
 * :func:`full_estimate` (Eq. 6/7, Algorithm 5) — exact *walk*-count
   dynamic programming on the index: forward counts ``f_i(v)`` (walks
   s->v arriving at position i) and backward counts ``w_i(v)`` (walks
@@ -22,6 +22,7 @@ import time
 from dataclasses import dataclass
 
 import pyspark.sql.functions as F
+from pyspark.sql import Observation
 
 from repro.core.context import QueryContext
 
@@ -31,34 +32,8 @@ def preliminary_estimate(ctx: QueryContext) -> float:
 
     gamma_j = (1/|C_j|) * sum_{v in C_j} |I_t(v, k-j-1)|;
     T_hat   = sum_{i<k} prod_{j<=i} gamma_j.
-    Stats are cached on the context (the paper collects them while
-    building the index).
+    The gamma_j are observed while the index is built, as in the paper.
     """
-    k = ctx.k
-    if not ctx.gamma:
-        spark = ctx.spark
-        pos = spark.range(0, k).select(F.col("id").cast("int").alias("j"))
-        cnt = (
-            ctx.index_edges.crossJoin(pos)
-            .where(
-                (F.col("ds_src") <= F.col("j"))
-                & (F.col("dt_src") <= k - F.col("j"))
-                & (F.col("dt_dst") <= k - F.col("j") - 1)
-            )
-            .groupBy("j")
-            .count()
-        )
-        size = (
-            ctx.dist.crossJoin(pos)
-            .where((F.col("ds") <= F.col("j")) & (F.col("dt") <= k - F.col("j")))
-            .groupBy("j")
-            .count()
-        )
-        cnt_m = {r["j"]: r["count"] for r in cnt.collect()}
-        size_m = {r["j"]: r["count"] for r in size.collect()}
-        ctx.gamma = [
-            (cnt_m.get(j, 0) / size_m[j]) if size_m.get(j) else 0.0 for j in range(k)
-        ]
     t_hat, prod = 0.0, 1.0
     for g in ctx.gamma:
         prod *= g
@@ -81,30 +56,14 @@ class FullEstimate:
 
 
 def full_estimate(ctx: QueryContext) -> FullEstimate:
-    """Run the forward/backward walk-count DP and pick the cut position."""
+    """Run the forward/backward walk-count DP and pick the cut position.
+
+    A level joins its budget-filtered index as a broadcast and observes its
+    sums on its checkpoint.  The loops stay apart: a fused level would need
+    both broadcasts and save almost nothing."""
     t0 = time.perf_counter()
     spark, s, t, k = ctx.spark, ctx.s, ctx.t, ctx.k
     idx = ctx.index_edges
-
-    # Backward: w_i(v) = #walks v->t of length <= k-i through the index.
-    w = spark.createDataFrame([(t, 1.0)], schema="v long, c double")
-    b_sums: list[float] = [0.0] * (k + 1)
-    ds_of = ctx.dist.select("v", "ds")
-    for i in range(k, -1, -1):
-        if i < k:
-            contrib = (
-                idx.where(F.col("dt_dst") <= k - i - 1)
-                .join(w.withColumnRenamed("v", "dst"), "dst")
-                .groupBy(F.col("src").alias("v"))
-                .agg(F.sum("c").alias("c"))
-            )
-            w = contrib.unionByName(
-                spark.createDataFrame([(t, 1.0)], schema="v long, c double")
-            ).localCheckpoint(eager=True)
-        row = (
-            w.join(ds_of, "v").where(F.col("ds") <= i).agg(F.sum("c").alias("b")).collect()[0]
-        )
-        b_sums[i] = float(row["b"] or 0.0)
 
     # Forward: f_i(v) = #walks s->v arriving exactly at position i (t stops).
     f = spark.createDataFrame([(s, 1.0)], schema="v long, c double")
@@ -112,23 +71,43 @@ def full_estimate(ctx: QueryContext) -> FullEstimate:
     a_sums: list[float] = [0.0] * (k + 1)
     a_sums[0] = 1.0  # Q[0:0] is the single tuple (s)
     cum_ended = 0.0
+    at_t = F.sum(F.when(F.col("v") == t, F.col("c"))).alias("at_t")
     for i in range(1, k + 1):
+        sums = Observation()
         f = (
-            idx.where(F.col("dt_dst") <= k - i)
-            .join(f.withColumnRenamed("v", "src"), "src")
+            f.withColumnRenamed("v", "src")
+            .join(F.broadcast(idx.where(F.col("dt_dst") <= k - i)), "src")
             .groupBy(F.col("dst").alias("v"))
             .agg(F.sum("c").alias("c"))
+            .observe(sums, F.sum("c").alias("total"), at_t)
             .localCheckpoint(eager=True)
         )
-        row = f.agg(
-            F.sum("c").alias("total"),
-            F.sum(F.when(F.col("v") == t, F.col("c"))).alias("at_t"),
-        ).collect()[0]
-        total = float(row["total"] or 0.0)
-        ended[i] = float(row["at_t"] or 0.0)
+        total, ended[i] = (float(sums.get[c] or 0.0) for c in ("total", "at_t"))
         cum_ended += ended[i]
         a_sums[i] = (total - ended[i]) + cum_ended
         f = f.where(F.col("v") != t)
+
+    # ds(t) is the length of the shortest walk s->t through the index (a
+    # shortest path in G-{t}); None when there is none within k.
+    ds_t = next((i for i in range(1, k + 1) if ended[i]), None)
+
+    # Backward: w_i(v) = #walks v->t of length <= k-i through the index;
+    # B[i] sums it over the vertices with ds(v) <= i.
+    w = t_row = spark.createDataFrame([(t, ds_t, 1.0)], schema="v long, ds int, c double")
+    b_sums: list[float] = [0.0] * (k + 1)
+    b_sums[k] = float(ds_t is not None)
+    for i in range(k - 1, -1, -1):
+        sums = Observation()
+        w = (
+            w.withColumnRenamed("v", "dst")
+            .join(F.broadcast(idx.where(F.col("dt_dst") <= k - i - 1)), "dst")
+            .groupBy(F.col("src").alias("v"), F.col("ds_src").alias("ds"))
+            .agg(F.sum("c").alias("c"))
+            .unionByName(t_row)
+            .observe(sums, F.sum(F.when(F.col("ds") <= i, F.col("c"))).alias("b"))
+            .localCheckpoint(eager=True)
+        )
+        b_sums[i] = float(sums.get["b"] or 0.0)
 
     walks = cum_ended
     i_star = min(range(k + 1), key=lambda i: a_sums[i] + b_sums[i])

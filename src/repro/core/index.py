@@ -17,11 +17,13 @@ holding exactly the edges Algorithm 3 would keep in ``H``:
 ``I_t(v, b)`` then becomes an equi-join on ``src`` with the pushed-down
 filter ``dt_dst <= b`` — same pruning, Catalyst-native.  The vertex
 partitions ``C_i`` (paper ``I(i)``) come from the distance table.
+
+Eq. 5's statistics (:func:`eq5_counts`) are aggregates over both frames.
 """
 from __future__ import annotations
 
 import pyspark.sql.functions as F
-from pyspark.sql import DataFrame
+from pyspark.sql import Column, DataFrame
 
 #: estimated in-memory row width of an index edge (6 numeric fields).
 INDEX_EDGE_BYTES = 6 * 8
@@ -63,3 +65,16 @@ def build_index_edges(edges: DataFrame, dist: DataFrame, s: int, t: int, k: int)
         & (F.col("src") != F.lit(t))
         & (F.col("dst") != F.lit(s))
     )
+
+
+def eq5_counts(k: int) -> tuple[Column, Column]:
+    """Eq. 5's ``|C_j|`` over the distance table and ``sum_{v in C_j}
+    |I_t(v, k-j-1)|`` over the index edges, each an array over j < k."""
+    sizes = [F.count_if((F.col("ds") <= j) & (F.col("dt") <= k - j)) for j in range(k)]
+    branches = [
+        F.count_if(
+            (F.col("ds_src") <= j) & (F.col("dt_src") <= k - j) & (F.col("dt_dst") <= k - j - 1)
+        )
+        for j in range(k)
+    ]
+    return F.array(*sizes).alias("n"), F.array(*branches).alias("n")

@@ -15,8 +15,9 @@ SHUFFLE_PARTITIONS = 8
 
 
 def get_spark(app: str) -> SparkSession:
-    """Get or create the session.  Broadcast joins are disabled so the
-    enumerators' joins take the shuffle path they take at scale."""
+    """Get or create the session.  Automatic broadcast joins are disabled:
+    only the per-query pruned edge set, light-weight by the paper's design,
+    is broadcast, explicitly, by the expansion and estimator loops."""
     return (
         SparkSession.builder.appName(app)
         .config("spark.sql.shuffle.partitions", SHUFFLE_PARTITIONS)

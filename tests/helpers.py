@@ -3,6 +3,9 @@ running example, and a memoised QueryContext cache (contexts are pure
 functions of (edges, s, t, k), so parametrised tests reuse them)."""
 from __future__ import annotations
 
+import itertools
+from collections.abc import Callable
+
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
@@ -89,3 +92,20 @@ def cached_ctx(
     if key not in _CTX_CACHE:
         _CTX_CACHE[key] = build_context(spark, edges_df(spark, edges), s, t, k)
     return _CTX_CACHE[key]
+
+
+_JOB_TAGS = itertools.count()
+
+
+def count_jobs(spark: SparkSession, fn: Callable[[], object]) -> int:
+    """The number of Spark jobs ``fn()`` launches, counted by a job tag."""
+    sc = spark.sparkContext
+    tag = f"test-count-jobs-{next(_JOB_TAGS)}"
+    sc.addJobTag(tag)
+    try:
+        fn()
+    finally:
+        sc.removeJobTag(tag)
+    jsc = sc._jsc.sc()
+    jsc.listenerBus().waitUntilEmpty()
+    return len(jsc.statusTracker().getJobIdsForTag(tag))

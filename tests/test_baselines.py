@@ -10,7 +10,7 @@ import pytest
 from repro import pathoracle as po
 from repro.core.baselines import bc_dfs, bc_join
 from repro.core.context import build_context
-from repro.core.enumerate import idx_dfs, paths_to_strings
+from repro.core.enumerate import idx_dfs, idx_join, paths_to_strings
 from repro.graphs import generators as G
 from repro.graphs.queries import generate_queries
 from repro.oracle import assert_equivalent
@@ -68,25 +68,57 @@ def test_bc_dfs_timeout(spark):
     assert bc_dfs(ctx, timeout_s=0.0).timed_out
 
 
-def test_bc_dfs_cancelled_at_time_limit(spark):
-    """The first hub-hub ep_s query at k=5 runs past 30 s under BC-DFS
-    (depth 4 alone touches ~6e6 candidates, depth 5 far more); a 3 s limit
-    must cancel it and keep the results of the depths that finished."""
+@pytest.fixture(scope="module")
+def ep_s_hub_query(spark):
+    """The first hub-hub ep_s query at k=5 (732,480 paths) and its context."""
     cfg = G.suite_by_name("ep_s")
     pdf = cfg.build_pdf()
     q = generate_queries(pdf, k=5, n_queries=1, setting="hh", seed=cfg.seed)[0]
     ctx = build_context(spark, G.to_spark(spark, pdf), q.s, q.t, q.k)
-    try:
-        t0 = time.perf_counter()
-        res = bc_dfs(ctx, timeout_s=3)
-        assert time.perf_counter() - t0 <= 4.0
-        assert res.timed_out
-        paths = [list(r["path"]) for r in res.paths.collect()]
-    finally:
-        ctx.unpersist()
+    yield set(zip(pdf.src.tolist(), pdf.dst.tolist())), ctx
+    ctx.unpersist()
+
+
+def _assert_valid_partial(res, edges: set, ctx) -> None:
+    """A flagged answer holds only simple s->t paths of <= k input edges."""
+    paths = [list(r["path"]) for r in res.paths.collect()]
     assert len(paths) == res.n_results
-    edges = set(zip(pdf.src.tolist(), pdf.dst.tolist()))
     for p in paths:
-        assert p[0] == q.s and p[-1] == q.t and len(p) - 1 <= q.k
+        assert p[0] == ctx.s and p[-1] == ctx.t and len(p) - 1 <= ctx.k
         assert len(set(p)) == len(p)
         assert all((u, v) in edges for u, v in zip(p, p[1:]))
+
+
+def test_bc_dfs_cancelled_at_time_limit(ep_s_hub_query):
+    """The first hub-hub ep_s query at k=5 runs past 30 s under BC-DFS
+    (depth 4 alone touches ~6e6 candidates, depth 5 far more); a 3 s limit
+    must cancel it and keep the results of the depths that finished."""
+    edges, ctx = ep_s_hub_query
+    t0 = time.perf_counter()
+    res = bc_dfs(ctx, timeout_s=3)
+    assert time.perf_counter() - t0 <= 4.0
+    assert res.timed_out
+    _assert_valid_partial(res, edges, ctx)
+
+
+def test_idx_join_cancelled_at_time_limit(ep_s_hub_query):
+    """Limits aimed at the middle of IDX-JOIN's prefix, suffix and final-join
+    phases (timed on an unlimited run) cancel its broadcast and shuffle
+    jobs: each call returns within 1.5 s of its limit, flagged with valid
+    paths, or complete if it finished first."""
+    edges, ctx = ep_s_hub_query
+    idx_join(ctx, 2)  # warm-up, so the timed run is not the first
+    full = idx_join(ctx, 2)
+    assert not full.timed_out
+    a_s, b_s = (full.detail[key].elapsed_s for key in ("stats_a", "stats_b"))
+    flagged = 0
+    for limit in (a_s / 2, a_s + b_s / 2, (a_s + b_s + full.enum_s) / 2):
+        t0 = time.perf_counter()
+        res = idx_join(ctx, 2, timeout_s=limit)
+        assert time.perf_counter() - t0 <= limit + 1.5
+        if res.timed_out:
+            flagged += 1
+            _assert_valid_partial(res, edges, ctx)
+        else:
+            assert res.n_results == full.n_results
+    assert flagged

@@ -4,7 +4,15 @@ from __future__ import annotations
 import pytest
 
 from repro.graphs.bfs import distance_table
-from tests.helpers import CYCLE6, LINE, PAPER_EDGES, edges_df, py_bfs, random_graph
+from tests.helpers import (
+    CYCLE6,
+    LINE,
+    PAPER_EDGES,
+    count_jobs,
+    edges_df,
+    py_bfs,
+    random_graph,
+)
 
 
 def _columns(spark, edges, s: int, t: int, k: int) -> dict[str, dict[int, int]]:
@@ -121,18 +129,9 @@ def test_distance_table_full_vs_restricted(spark):
 def test_stops_once_a_level_adds_nothing(spark):
     """On LINE level 5 is empty for every tag, so k=10 launches no more
     Spark jobs than k=5: the loop ends on the level's observed row count."""
-    sc = spark.sparkContext
     edges = edges_df(spark, LINE)
 
     def jobs(k: int) -> int:
-        tag = f"test-bfs-k{k}"
-        sc.addJobTag(tag)
-        try:
-            distance_table(spark, edges, 0, 4, k).collect()
-        finally:
-            sc.removeJobTag(tag)
-        jsc = sc._jsc.sc()
-        jsc.listenerBus().waitUntilEmpty()
-        return len(jsc.statusTracker().getJobIdsForTag(tag))
+        return count_jobs(spark, lambda: distance_table(spark, edges, 0, 4, k).collect())
 
     assert jobs(10) == jobs(5)

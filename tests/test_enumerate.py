@@ -6,6 +6,7 @@ import pytest
 
 from repro import pathoracle as po
 from repro.core.enumerate import idx_dfs, idx_join, paths_to_strings
+from repro.core.expand import expand, make_frontier
 from repro.oracle import assert_equivalent
 from tests.helpers import (
     CYCLE6,
@@ -96,15 +97,47 @@ def test_idx_join_no_duplicates(spark):
     assert len(rows) == len(set(rows))
 
 
-def test_idx_join_detail_counts(spark):
-    ctx = cached_ctx(spark, PAPER_EDGES, 0, 1, 4)
-    res = idx_join(ctx, 2)
+def _assert_detail_counts(spark, edges, s, t, k, cut):
+    """``n_ra`` / ``n_rb`` (they feed ``partial_cells``) equal the row counts
+    of the prefix frontier and of the suffix results, recomputed here."""
+    ctx = cached_ctx(spark, edges, s, t, k)
+    res = idx_join(ctx, cut)
     d = res.detail
-    assert d["cut"] == 2
-    assert d["n_ra"] >= 0 and d["n_rb"] >= 0
-    assert res.n_results == d["n_joined"] + sum(
-        1 for p in po.python_paths(PAPER_EDGES, 0, 1, 4) if p.count("-") <= 2
+    kw = dict(t=t, k=k, budget_col="dt_dst")
+    _, ra, _ = expand(
+        spark, make_frontier(spark, [s]), ctx.index_edges, start_pos=0, end_pos=d["cut"], **kw
     )
+    cut_vs = sorted({r["last"] for r in ra.collect()})
+    n_rb = 0
+    if cut_vs:
+        sfx, _, _ = expand(
+            spark, make_frontier(spark, cut_vs), ctx.index_edges,
+            start_pos=d["cut"], end_pos=k, forbid=s, **kw,
+        )
+        n_rb = sfx.count()
+    assert d["cut"] == (cut if k > 1 else 0)
+    assert d["n_ra"] == ra.count()
+    assert d.get("n_rb", 0) == n_rb
+    assert res.n_results == d.get("n_joined", 0) + sum(
+        1 for p in po.python_paths(edges, s, t, k) if p.count("-") <= d["cut"]
+    )
+    assert res.n_results == len(po.python_paths(edges, s, t, k))
+
+
+def test_idx_join_detail_counts(spark):
+    _assert_detail_counts(spark, PAPER_EDGES, 0, 1, 4, 2)
+
+
+@pytest.mark.parametrize(
+    "edges,s,t,k,cut",
+    [
+        (LINE, 0, 2, 4, 3),  # the prefix frontier empties at position 2
+        (LINE, 0, 1, 1, 1),  # k = 1 clamps the cut to 0: R_a is (s) alone
+    ],
+    ids=["prefix-empties", "k1"],
+)
+def test_idx_join_detail_counts_at_the_edges(spark, edges, s, t, k, cut):
+    _assert_detail_counts(spark, edges, s, t, k, cut)
 
 
 def test_idx_join_timeout(spark):

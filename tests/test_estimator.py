@@ -17,6 +17,7 @@ from tests.helpers import (
     LINE,
     PAPER_EDGES,
     cached_ctx,
+    count_jobs,
     py_bfs,
     random_graph,
 )
@@ -57,6 +58,14 @@ def test_ended_histogram(spark):
         hist[w.count("-")] = hist.get(w.count("-"), 0) + 1
     for i in range(1, 5):
         assert est.ended[i] == pytest.approx(hist.get(i, 0))
+
+
+def test_at_most_three_jobs_per_dp_level(spark):
+    """Each of the 2k DP levels (k forward, k backward) costs the broadcast
+    of the budget-filtered index plus the two jobs of its ``groupBy``; the
+    level's sums are observed on its checkpoint, not collected."""
+    ctx = cached_ctx(spark, PAPER_EDGES, 0, 1, 4)
+    assert count_jobs(spark, lambda: full_estimate(ctx)) <= 3 * 2 * ctx.k
 
 
 def test_a0_is_one(spark):

@@ -10,7 +10,7 @@ from py4j.protocol import Py4JJavaError
 
 from repro import pathoracle as po
 from repro.core.expand import Deadline, expand, make_frontier
-from tests.helpers import CYCLE6, DIAMOND, PAPER_EDGES, cached_ctx
+from tests.helpers import CYCLE6, DIAMOND, PAPER_EDGES, cached_ctx, count_jobs
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +54,16 @@ def test_emitted_per_depth_matches_length_histogram(ctx):
         by_len[p.count("-")] = by_len.get(p.count("-"), 0) + 1
     for d in stats.depth_stats:
         assert d.emitted == by_len.get(d.pos, 0)
+
+
+def test_at_most_two_jobs_per_depth(ctx):
+    """A level joins the broadcast index and observes its counters on the
+    checkpoint that materialises it: the broadcast's job plus that one."""
+    stats = []
+    jobs = count_jobs(ctx.spark, lambda: stats.append(_run(ctx)[2]))
+    depths = len(stats[0].depth_stats)
+    assert depths == ctx.k
+    assert jobs <= 2 * depths
 
 
 def test_timeout_flag(ctx):
